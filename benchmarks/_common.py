@@ -1,8 +1,7 @@
 """Shared fixtures and helpers for the benchmark drivers.
 
 Each module under ``benchmarks/`` regenerates one table or figure of the
-paper's evaluation section (see DESIGN.md's per-experiment index and
-EXPERIMENTS.md for the paper-vs-measured record).  The drivers run at
+paper's evaluation section (see README, "Benchmarks").  The drivers run at
 "reproduction scale": the dataset sizes are set so the whole directory
 finishes in minutes of pure-Python time rather than the hours of C++/48-core
 time the paper uses.  Set the environment variable ``REPRO_BENCH_SCALE`` to a

@@ -4,7 +4,7 @@ The paper's Table 4 reports, for every dataset, the running time of
 EMST-Naive, EMST-GFK, EMST-MemoGFK and EMST-Delaunay on 1 thread and on 48
 cores.  This driver measures the single-thread time of each method directly
 and derives the 48-core time from the instrumented work/depth via Brent's
-bound (DESIGN.md, "Parallelism model").  The expected *shape* is the paper's:
+bound (README, "Parallel execution").  The expected *shape* is the paper's:
 MemoGFK is the fastest WSPD-based method, Naive beats GFK (which pays for
 materializing pair state), and Delaunay is competitive but 2D-only.
 """
@@ -62,8 +62,7 @@ def test_table4_emst_running_times(benchmark):
     # The mechanism behind the paper's Table 4 ordering (MemoGFK fastest)
     # is that MemoGFK materializes far fewer pairs and GFK skips BCCPs that
     # Naive computes; at reproduction scale wall clocks are dominated by
-    # Python constant factors, so the mechanism counters are what we check
-    # (EXPERIMENTS.md records the wall-clock deviations).
+    # Python constant factors, so the mechanism counters are what we check.
     for name, per_method in stats.items():
         naive_stats = per_method["EMST-Naive"]
         memogfk_stats = per_method["EMST-MemoGFK"]

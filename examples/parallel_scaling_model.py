@@ -2,9 +2,9 @@
 
 The paper evaluates on a 48-core machine; this reproduction models
 multi-threaded running times from the measured work and depth of each
-algorithm via Brent's bound (see DESIGN.md).  This example shows the raw
-ingredients: the work/depth an algorithm reports, its per-phase breakdown, and
-the speedup curve the model predicts.
+algorithm via Brent's bound (see README, "Parallel execution").  This
+example shows the raw ingredients: the work/depth an algorithm reports, its
+per-phase breakdown, and the speedup curve the model predicts.
 
 Run with::
 

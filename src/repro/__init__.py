@@ -22,8 +22,8 @@ provides the scikit-learn-style facade:
 >>> from repro.estimators import HDBSCAN
 >>> labels = HDBSCAN(min_pts=10, metric="manhattan").fit_predict(points)
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-versus-measured record of every reproduced table and figure.
+See the README's "Module map" for the system inventory and its "Benchmarks"
+section for the drivers that reproduce the paper's tables and figures.
 """
 
 from repro.core import PointSet, as_points, open_memmap_points

@@ -6,8 +6,8 @@ Two kinds of multi-thread scaling curve are available:
 * :func:`scaling_curve` — the *simulated* curve: a run is instrumented with a
   :class:`~repro.parallel.scheduler.WorkDepthTracker` and Brent's bound
   ``T_p = W/p + D`` is evaluated for each thread count, calibrated so that
-  ``T_1`` equals the measured single-thread time (see DESIGN.md,
-  "Parallelism model").  This reproduces the *shape* of the paper's Figures
+  ``T_1`` equals the measured single-thread time (see README, "Parallel
+  execution").  This reproduces the *shape* of the paper's Figures
   6, 7, 9, 10 out to 48 cores regardless of the local machine.  The paper's
   "48h" configuration (48 cores with hyper-threading) is modelled as 48
   physical cores with a 1.35x effective-parallelism bonus.

@@ -5,7 +5,7 @@ seed-spreader "SS-varden" data) plus four real data sets (GeoLife, Household,
 HT, CHEM).  The synthetic families are regenerated here with the same
 processes; the real data sets are not redistributable, so
 :mod:`repro.datasets.real_proxies` provides synthetic proxies that match their
-dimensionality and spatial character (see DESIGN.md, "Substitutions").
+dimensionality and spatial character.
 """
 
 from repro.datasets.synthetic import (

@@ -6,7 +6,7 @@ pure-Python reproduction can process, so each proxy below generates points
 with the same dimensionality and the qualitative spatial structure the paper
 highlights — most importantly GeoLife's extreme skew (dense urban clusters
 plus sparse long-range travel) and the correlated, low-effective-dimension
-structure of the sensor data sets.  See DESIGN.md, "Substitutions".
+structure of the sensor data sets.
 """
 
 from __future__ import annotations

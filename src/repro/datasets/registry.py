@@ -1,7 +1,7 @@
 """Dataset registry shared by the benchmarks.
 
 Each entry mirrors one of the paper's evaluation data sets, downscaled to a
-size pure Python can process in seconds (DESIGN.md, "Substitutions").  The
+size pure Python can process in seconds.  The
 names follow the paper's ``<dim>D-<family>-<size>`` convention so benchmark
 output reads like the paper's tables.
 """

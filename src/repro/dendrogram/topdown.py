@@ -21,10 +21,10 @@ The recursion is array-native: a subproblem is three parallel edge arrays,
 the vertex → supernode map is one flat ``cluster_of`` array shared by the
 whole recursion (every subproblem overwrites only its own vertices, and
 leaves them bound to its finished root), light components are grouped with a
-stable argsort of their union-find labels (first-occurrence component order,
-matching the previous semisort grouping), and supernode redirections are
-applied through a reusable identity ``remap`` array instead of per-vertex
-dict rebuilds.  The base case shares the bulk merge sweep
+stable argsort of their union-find labels (first-occurrence component
+order, each group keeping its edges in input order), and supernode
+redirections are applied through a reusable identity ``remap`` array instead
+of per-vertex dict rebuilds.  The base case shares the bulk merge sweep
 (:func:`repro.dendrogram.sequential.merge_edges_bottom_up`) with the
 sequential construction.
 
@@ -59,10 +59,9 @@ def _light_component_slices(
 ) -> List[np.ndarray]:
     """Group edge positions by component label, ordered by first occurrence.
 
-    Equivalent to the previous dict-based semisort: each group keeps its
-    edges in input order, and groups appear in the order their label is first
-    seen.  One stable argsort + one pass over the unique labels replaces the
-    per-edge dict traffic.
+    Each group keeps its edges in input order, and groups appear in the order
+    their label is first seen.  One stable argsort + one pass over the unique
+    labels replaces per-edge dict traffic.
     """
     order = np.argsort(labels, kind="stable")
     unique_labels, group_starts, group_counts = np.unique(

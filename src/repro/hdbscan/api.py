@@ -21,8 +21,7 @@ from repro.core.points import as_points
 from repro.dendrogram.topdown import dendrogram_topdown
 from repro.hdbscan.bruteforce import hdbscan_mst_bruteforce
 from repro.hdbscan.core_distance import core_distances as compute_core_distances
-from repro.hdbscan.gantao import hdbscan_mst_gantao
-from repro.hdbscan.memogfk import hdbscan_mst_memogfk
+from repro.hdbscan.memogfk import hdbscan_mst_gantao, hdbscan_mst_memogfk
 from repro.hdbscan.optics_approx import optics_approx_mst
 from repro.hdbscan.result import HDBSCANResult
 from repro.dendrogram.structure import Dendrogram

@@ -1,4 +1,4 @@
-"""Work–depth parallel model and the classic parallel primitives.
+"""Work–depth cost model, union-find and the multicore worker pool.
 
 The paper analyses all of its algorithms in the shared-memory work–depth
 model: *work* is the total number of operations and *depth* the longest chain
@@ -6,15 +6,14 @@ of sequential dependencies; Brent's theorem turns a ``(W, D)`` pair into a
 running-time bound ``W/p + D`` on ``p`` processors.
 
 CPython's GIL prevents a faithful shared-memory implementation, so this
-subpackage provides two things instead (see DESIGN.md, "Parallelism model"):
+subpackage provides (see README, "Parallel execution"):
 
 * :class:`~repro.parallel.scheduler.WorkDepthTracker` — algorithms report the
   work and depth they incur, and the tracker converts those into simulated
   running times for any processor count via Brent's bound.
-* Sequentially-executed versions of the primitives the paper relies on
-  (prefix sum, filter, split, WRITE_MIN, semisort, list ranking, Euler tours,
-  union-find) that charge the textbook work/depth costs to the active tracker,
-  so the simulated speedups reflect the algorithms actually implemented.
+* :class:`~repro.parallel.unionfind.UnionFind` — the array-backed disjoint-set
+  forest behind every Kruskal batch and dendrogram construction, charging its
+  finds and batched unions to the active tracker.
 
 :mod:`~repro.parallel.pool` provides the *real* multicore execution engine: a
 persistent :class:`~repro.parallel.pool.WorkerPool` of daemon threads (NumPy
@@ -33,20 +32,7 @@ from repro.parallel.scheduler import (
     simulated_time,
     simulated_speedups,
 )
-from repro.parallel.primitives import (
-    prefix_sum,
-    parallel_filter,
-    parallel_split,
-    write_min,
-    WriteMinCell,
-    parallel_max_index,
-    parallel_min_index,
-)
-from repro.parallel.semisort import semisort
-from repro.parallel.listrank import list_rank
-from repro.parallel.eulertour import EulerTour, build_euler_tour
 from repro.parallel.unionfind import UnionFind
-from repro.parallel.hashtable import ParallelHashTable
 from repro.parallel.pool import (
     WorkerPool,
     Workspace,
@@ -64,19 +50,7 @@ __all__ = [
     "use_tracker",
     "simulated_time",
     "simulated_speedups",
-    "prefix_sum",
-    "parallel_filter",
-    "parallel_split",
-    "write_min",
-    "WriteMinCell",
-    "parallel_max_index",
-    "parallel_min_index",
-    "semisort",
-    "list_rank",
-    "EulerTour",
-    "build_euler_tour",
     "UnionFind",
-    "ParallelHashTable",
     "WorkerPool",
     "Workspace",
     "current_workspace",

@@ -18,6 +18,23 @@ from repro.hdbscan import (
 )
 
 EXACT_METHODS = [hdbscan_mst_gantao, hdbscan_mst_memogfk]
+# The result ``method`` string of each exact driver, and the stats keys every
+# driver run reports (e2ebench reads the counters as per-layer metrics).
+DRIVER_METHOD = {
+    hdbscan_mst_gantao: "hdbscan-gantao",
+    hdbscan_mst_memogfk: "hdbscan-memogfk",
+}
+DRIVER_STATS_KEYS = (
+    "rounds",
+    "pairs_materialized",
+    "max_pairs_materialized",
+    "bccp_calls",
+    "distance_evaluations",
+    "min_pts",
+    "time_core-dist",
+    "time_build-tree",
+    "time_wspd+kruskal",
+)
 
 
 class TestCoreDistances:
@@ -96,6 +113,11 @@ class TestMSTVariants:
         result = algorithm(points, min_pts)
         assert result.total_weight == pytest.approx(expected, rel=1e-9)
         assert result.is_spanning_tree()
+        assert result.method == DRIVER_METHOD[algorithm]
+        assert set(DRIVER_STATS_KEYS) <= set(result.stats)
+        assert result.stats["min_pts"] == min_pts
+        assert result.stats["rounds"] >= 1
+        assert result.stats["bccp_calls"] >= 1
 
     @pytest.mark.parametrize("algorithm", EXACT_METHODS, ids=lambda f: f.__name__)
     def test_skewed_data(self, algorithm, varden_points):
@@ -131,6 +153,8 @@ class TestMSTVariants:
     def test_single_point(self, algorithm):
         result = algorithm(np.array([[0.0, 0.0]]), 1)
         assert result.num_edges == 0
+        if algorithm in DRIVER_METHOD:
+            assert result.method == DRIVER_METHOD[algorithm]
 
     def test_edge_weights_at_least_core_distances(self, small_points_3d):
         min_pts = 8

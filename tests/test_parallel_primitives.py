@@ -1,147 +1,16 @@
-"""Tests for the parallel primitives and the work-depth tracker."""
+"""Tests for ``parallel_map`` and the work-depth tracker."""
 
 import numpy as np
 import pytest
 
 from repro.parallel import (
+    UnionFind,
     WorkDepthTracker,
-    WriteMinCell,
-    parallel_filter,
     parallel_map,
-    parallel_max_index,
-    parallel_min_index,
-    parallel_split,
-    prefix_sum,
-    semisort,
     simulated_speedups,
     simulated_time,
     use_tracker,
-    write_min,
 )
-from repro.parallel.hashtable import ParallelHashTable
-
-
-class TestPrefixSum:
-    def test_exclusive_prefix(self):
-        prefix, total = prefix_sum([1, 2, 3, 4])
-        assert list(prefix) == [0, 1, 3, 6]
-        assert total == 10
-
-    def test_empty_sequence(self):
-        prefix, total = prefix_sum([])
-        assert len(prefix) == 0
-        assert total == 0
-
-    def test_single_element(self):
-        prefix, total = prefix_sum([7])
-        assert list(prefix) == [0]
-        assert total == 7
-
-    def test_floats(self):
-        prefix, total = prefix_sum([0.5, 0.25, 0.25])
-        assert total == pytest.approx(1.0)
-        assert prefix[2] == pytest.approx(0.75)
-
-    def test_matches_numpy_cumsum(self):
-        rng = np.random.default_rng(0)
-        values = rng.integers(0, 100, size=50)
-        prefix, total = prefix_sum(values)
-        assert total == values.sum()
-        assert np.array_equal(prefix[1:], np.cumsum(values)[:-1])
-
-
-class TestFilterAndSplit:
-    def test_filter_keeps_matching(self):
-        assert parallel_filter([1, 2, 3, 4, 5], lambda x: x % 2 == 0) == [2, 4]
-
-    def test_filter_preserves_order(self):
-        items = [5, 3, 8, 1, 9]
-        assert parallel_filter(items, lambda x: x > 2) == [5, 3, 8, 9]
-
-    def test_filter_empty(self):
-        assert parallel_filter([], lambda x: True) == []
-
-    def test_split_partitions(self):
-        true_items, false_items = parallel_split(range(6), lambda x: x < 3)
-        assert true_items == [0, 1, 2]
-        assert false_items == [3, 4, 5]
-
-    def test_split_all_true(self):
-        true_items, false_items = parallel_split([1, 2], lambda x: True)
-        assert true_items == [1, 2]
-        assert false_items == []
-
-
-class TestWriteMin:
-    def test_cell_keeps_minimum(self):
-        cell = WriteMinCell()
-        cell.write(5.0, "a")
-        cell.write(3.0, "b")
-        cell.write(9.0, "c")
-        assert cell.value == 3.0
-        assert cell.payload == "b"
-
-    def test_cell_write_returns_success(self):
-        cell = WriteMinCell(10.0)
-        assert cell.write(5.0)
-        assert not cell.write(7.0)
-
-    def test_array_write_min(self):
-        cells = np.full(3, np.inf)
-        assert write_min(cells, 1, 4.0)
-        assert not write_min(cells, 1, 6.0)
-        assert cells[1] == 4.0
-
-
-class TestReductions:
-    def test_min_index(self):
-        assert parallel_min_index([5.0, 1.0, 3.0]) == 1
-
-    def test_max_index(self):
-        assert parallel_max_index([5.0, 1.0, 9.0, 3.0]) == 2
-
-    def test_min_index_empty_raises(self):
-        with pytest.raises(ValueError):
-            parallel_min_index([])
-
-
-class TestSemisort:
-    def test_groups_by_key(self):
-        groups = semisort([1, 2, 3, 4, 5, 6], key=lambda x: x % 3)
-        assert sorted(groups[0]) == [3, 6]
-        assert sorted(groups[1]) == [1, 4]
-        assert sorted(groups[2]) == [2, 5]
-
-    def test_preserves_order_within_group(self):
-        groups = semisort(["bb", "a", "cc", "d"], key=len)
-        assert groups[2] == ["bb", "cc"]
-        assert groups[1] == ["a", "d"]
-
-    def test_empty_input(self):
-        assert semisort([], key=lambda x: x) == {}
-
-
-class TestParallelHashTable:
-    def test_insert_find(self):
-        table = ParallelHashTable()
-        table.insert("x", 1)
-        assert table.find("x") == 1
-        assert table.find("y") is None
-        assert table.find("y", default=0) == 0
-
-    def test_delete(self):
-        table = ParallelHashTable()
-        table.insert("x", 1)
-        assert table.delete("x")
-        assert not table.delete("x")
-        assert len(table) == 0
-
-    def test_contains_and_items(self):
-        table = ParallelHashTable()
-        table.insert(1, "a")
-        table.insert(2, "b")
-        assert 1 in table
-        assert dict(table.items()) == {1: "a", 2: "b"}
 
 
 class TestParallelMap:
@@ -199,12 +68,14 @@ class TestTrackerAndBrent:
     def test_ambient_tracker_collects_primitive_costs(self):
         tracker = WorkDepthTracker()
         with use_tracker(tracker):
-            prefix_sum(list(range(100)))
+            UnionFind(101).union_many(np.arange(100), np.arange(1, 101))
         assert tracker.work >= 100
 
     def test_no_tracker_is_silent(self):
         # Charging with no ambient tracker must not raise or accumulate.
-        prefix_sum([1, 2, 3])
+        union_find = UnionFind(3)
+        union_find.union_many(np.array([0, 1]), np.array([1, 2]))
+        assert union_find.num_components == 1
 
     def test_reset(self):
         tracker = WorkDepthTracker()

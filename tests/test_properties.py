@@ -8,8 +8,7 @@ library's central claims:
 * the WSPD is an exact realization (every unordered pair covered exactly once);
 * the HDBSCAN* MST variants agree with the brute-force mutual-reachability MST;
 * the ordered dendrogram's in-order leaf traversal reproduces Prim's order;
-* union-find never loses or invents connectivity;
-* prefix sums / list ranking match their sequential references.
+* union-find never loses or invents connectivity.
 """
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.emst import emst, emst_bruteforce, emst_gfk, emst_memogfk, emst_naive
 from repro.estimators import EMST, HDBSCAN
 from repro.hdbscan import core_distances, hdbscan_mst_bruteforce, hdbscan_mst_memogfk
 from repro.mst import boruvka, kruskal, total_weight
-from repro.parallel import UnionFind, list_rank, prefix_sum
+from repro.parallel import UnionFind
 from repro.spatial import KDTree
 from repro.wspd import compute_wspd
 from repro.wspd.wspd import validate_wspd_realization
@@ -312,25 +311,6 @@ class TestDendrogramProperties:
 
 
 class TestSubstrateProperties:
-    @SETTINGS
-    @given(values=st.lists(st.integers(-1000, 1000), max_size=200))
-    def test_prefix_sum_matches_reference(self, values):
-        prefix, tot = prefix_sum(values)
-        running = 0
-        for index, value in enumerate(values):
-            assert prefix[index] == running
-            running += value
-        assert tot == sum(values)
-
-    @SETTINGS
-    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100))
-    def test_list_rank_matches_reverse_cumsum(self, values):
-        n = len(values)
-        successor = list(range(1, n)) + [-1]
-        ranks = list_rank(successor, values)
-        expected = np.cumsum(np.asarray(values)[::-1])[::-1]
-        assert np.allclose(ranks, expected, rtol=1e-9, atol=1e-6)
-
     @SETTINGS
     @given(
         n=st.integers(2, 60),
