@@ -42,6 +42,13 @@ FIGURE_DATASETS: Dict[str, int] = {
 }
 
 
+#: Whether ``REPRO_BENCH_SCALE`` leaves the drivers at (or above) full
+#: reproduction scale.  Speedup and resource gates that only hold at full
+#: dataset sizes are enforced when this is true; smaller (smoke) scales still
+#: run every identity check.
+FULL_SCALE: bool = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
+
+
 def scaled(n: int) -> int:
     """Apply the REPRO_BENCH_SCALE environment scaling factor."""
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))

@@ -37,7 +37,7 @@ from repro.spatial.kdtree import KDTree
 from repro.spatial.knn import knn_bruteforce
 from repro.wspd.bccp import bccp_batch
 
-from _common import scaled
+from _common import FULL_SCALE, scaled
 
 #: Headline scale of the BCCP-phase records (the ISSUE's n = 10^5 target).
 HEADLINE_N = 100_000
@@ -53,7 +53,6 @@ BACKEND_AXIS = ("numpy", "numba", "numpy-f32", "numba-f32")
 #: full scale.
 SPEEDUP_GATE = 3.0
 
-_FULL_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
 
 _RESULTS: dict = {}
 
@@ -147,10 +146,10 @@ def test_bccp_phase_backends(benchmark):
             },
             "numba_speedup": speedup,
             "speedup_gate": SPEEDUP_GATE,
-            "gate_active": bool(HAVE_NUMBA and _FULL_SCALE),
+            "gate_active": bool(HAVE_NUMBA and FULL_SCALE),
         },
     )
-    if HAVE_NUMBA and _FULL_SCALE:
+    if HAVE_NUMBA and FULL_SCALE:
         assert speedup >= SPEEDUP_GATE, (
             f"numba BCCP speedup {speedup:.2f}x below the {SPEEDUP_GATE}x gate"
         )

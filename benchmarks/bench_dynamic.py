@@ -34,7 +34,7 @@ import numpy as np
 from repro.bench.harness import memory_snapshot
 from repro.dynamic import delete_batch, fit_dynamic, insert_batch
 
-from _common import scaled
+from _common import FULL_SCALE, scaled
 
 #: Points in the benchmark fit; the issue's 10x gate is stated at n=10^5.
 BENCH_N = 100_000
@@ -49,7 +49,6 @@ MIN_CLUSTER_SIZE = 5
 #: failure is replayable byte for byte).
 DRILL_SEED = 20210607
 
-_FULL_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
 
 _RESULTS: dict = {}
 
@@ -148,7 +147,7 @@ def test_update_vs_refit(benchmark):
         f"(churn x{report['churn_speedup']:.1f}, "
         f"per-update x{report['mean_update_speedup']:.1f})"
     )
-    if _FULL_SCALE:
+    if FULL_SCALE:
         assert report["churn_speedup"] >= 10.0, (
             f"applying 1% churn incrementally is only "
             f"{report['churn_speedup']:.1f}x cheaper than a cold refit; "

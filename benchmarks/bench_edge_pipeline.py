@@ -43,16 +43,12 @@ from repro.spatial import KDTree
 from repro.wspd.bccp import BCCPCache, bccp
 from repro.wspd.wspd import compute_wspd_ids
 
-from _common import scaled
+from _common import FULL_SCALE, scaled
 
 #: Headline scale of the acceptance criterion.
 HEADLINE_N = 20_000
 
 _RESULTS: dict = {}
-
-
-def _at_full_scale() -> bool:
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
 
 
 def _record(name: str, payload: dict) -> None:
@@ -133,7 +129,7 @@ def test_batched_bccp_speedup(benchmark):
             "speedup": speedup,
         },
     )
-    if _at_full_scale():
+    if FULL_SCALE:
         assert speedup >= 2.0
 
 
@@ -176,7 +172,7 @@ def test_dendrogram_build_speedup(benchmark):
             "speedup": speedup,
         },
     )
-    if _at_full_scale():
+    if FULL_SCALE:
         assert speedup >= 2.0
 
 

@@ -40,7 +40,7 @@ from repro.core.points import open_memmap_points
 from repro.emst.api import emst
 from repro.hdbscan.api import hdbscan
 
-from _common import scaled
+from _common import FULL_SCALE, scaled
 
 #: Budgets the identity gate sweeps: comfortable, tight, below every default
 #: tile constant, and degenerate (clamps at the tile floors everywhere).
@@ -62,7 +62,6 @@ OUT_OF_CORE_BUDGET = "512M"
 #: pages toward RSS even though it can drop them under pressure).
 RSS_ALLOWANCE_BYTES = parse_memory_size("1G")
 
-_FULL_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
 
 _RESULTS: dict = {}
 
@@ -214,10 +213,10 @@ def test_out_of_core_completion(benchmark):
                 "budget_peak_bytes": int(budget.peak_bytes),
                 "spilled_buffers": int(budget.spilled_buffers),
                 "spilled_bytes": int(budget.spilled_bytes),
-                "gate_active": bool(_FULL_SCALE and rss_delta is not None),
+                "gate_active": bool(FULL_SCALE and rss_delta is not None),
             },
         )
-        if _FULL_SCALE and rss_delta is not None:
+        if FULL_SCALE and rss_delta is not None:
             assert rss_delta <= ceiling, (
                 f"out-of-core RSS growth {rss_delta} exceeds the "
                 f"{budget.spec()} budget + {RSS_ALLOWANCE_BYTES} allowance"

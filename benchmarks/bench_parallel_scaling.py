@@ -41,7 +41,7 @@ from repro.emst import emst_memogfk
 from repro.hdbscan import hdbscan
 from repro.parallel.pool import shutdown_pools
 
-from _common import scaled
+from _common import FULL_SCALE, scaled
 
 #: Headline scale of the acceptance criterion.
 HEADLINE_N = 20_000
@@ -64,12 +64,8 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _at_full_scale() -> bool:
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
-
-
 def _speedup_gate_active() -> bool:
-    return _at_full_scale() and _available_cores() >= SPEEDUP_GATE_THREADS
+    return FULL_SCALE and _available_cores() >= SPEEDUP_GATE_THREADS
 
 
 def _record(name: str, payload: dict) -> None:

@@ -31,7 +31,7 @@ from repro.emst.api import emst
 from repro.hdbscan.api import hdbscan
 from repro.resilience import InjectedCrashError, inject_faults
 
-from _common import scaled
+from _common import FULL_SCALE, scaled
 
 #: Points in the benchmark fits (HDBSCAN*'s chunked brute-force core
 #: distances keep this moderate, as in the memory-budget driver).
@@ -44,7 +44,6 @@ KILL_FAULTS = {
     "hdbscan": "crash-after-phase:phase=mst",
 }
 
-_FULL_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
 
 _RESULTS: dict = {}
 
@@ -116,7 +115,7 @@ def test_checkpoint_overhead(benchmark, tmp_path):
             f"(x{row['overhead_ratio']:.2f}) "
             f"reload={row['reload_seconds']:.3f}s"
         )
-        if _FULL_SCALE:
+        if FULL_SCALE:
             assert row["reload_seconds"] < row["bare_seconds"], (
                 f"{pipeline}: reloading a finished checkpoint "
                 f"({row['reload_seconds']:.3f}s) should beat recomputing "

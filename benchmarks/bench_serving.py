@@ -39,7 +39,7 @@ from repro.estimators import HDBSCAN
 from repro.hdbscan import adjusted_rand_index
 from repro.serve import ServingEngine, approximate_predict, fit_state, load_state
 
-from _common import scaled
+from _common import FULL_SCALE, scaled
 
 #: Points in the benchmark fit; the issue's gates are stated at n=20k.
 BENCH_N = 20_000
@@ -51,7 +51,6 @@ MIN_CLUSTER_SIZE = 5
 #: Distinct epsilon cuts in the throughput workload; repeats hit the LRU.
 DISTINCT_EPSILONS = 32
 
-_FULL_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
 
 _RESULTS: dict = {}
 
@@ -146,7 +145,7 @@ def test_recut_vs_refit(benchmark):
 def test_recut_throughput(benchmark):
     """A mixed re-cut workload must sustain >= 1000 requests/sec."""
     n = scaled(BENCH_N)
-    repeats = 40 if _FULL_SCALE else 10
+    repeats = 40 if FULL_SCALE else 10
     report: dict = {}
 
     def run():

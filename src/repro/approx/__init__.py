@@ -6,13 +6,15 @@ vectorized WSPD frontier traversal, the batched BCCP kernels, the worker-pool
 sharding and the pluggable metric:
 
 * :func:`~repro.approx.emst.approx_emst` — (1+ε)-approximate metric MST from
-  the WSPD: one representative edge per well-separated pair at a separation
-  constant derived from ε, then one Kruskal pass.  The returned tree is a
-  genuine spanning tree of true pairwise distances whose total weight is at
-  most ``(1 + ε)`` times the exact MST weight.
-* :func:`~repro.approx.hdbscan.approx_hdbscan_mst` — approximate mutual
-  reachability MST (the vectorized form of Appendix C's cardinality cases),
-  registered as HDBSCAN* method ``"wspd-approx"``.
+  the WSPD: at the fixed separation constant ``s = 2``, pairs are split until
+  their center-nearest representative edge is certified within ``(1 + ε)``
+  of the pair's BCCP (small uncertified pairs get their exact BCCP), then
+  one Kruskal pass.  The returned tree is a genuine spanning tree of true
+  pairwise distances whose total weight is at most ``(1 + ε)`` times the
+  exact MST weight.
+* :func:`~repro.approx.hdbscan.approx_hdbscan_mst` — the same pipeline under
+  the mutual reachability distance (BCCP* in place of BCCP), registered as
+  HDBSCAN* method ``"wspd-approx"``.
 * :func:`~repro.approx.hdbscan.approx_hdbscan` — full approximate HDBSCAN*
   pipeline (core distances, approximate MST, dendrogram).
 
@@ -20,16 +22,11 @@ sharding and the pluggable metric:
 MemoGFK engine, so callers can treat ε as a pure accuracy knob.
 """
 
-from repro.approx.emst import (
-    approx_emst,
-    emst_wspd_approx,
-    resolve_approx_method,
-)
+from repro.approx.emst import approx_emst, resolve_approx_method
 from repro.approx.hdbscan import approx_hdbscan, approx_hdbscan_mst
 
 __all__ = [
     "approx_emst",
-    "emst_wspd_approx",
     "resolve_approx_method",
     "approx_hdbscan",
     "approx_hdbscan_mst",

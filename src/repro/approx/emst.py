@@ -3,7 +3,8 @@
 The exact EMST methods keep one *bichromatic closest pair* edge per
 well-separated pair of the ``s = 2`` WSPD — Callahan and Kosaraju's classical
 construction.  The approximation replaces the BCCP of a pair with the
-deterministic *representative* edge ``(first(A), first(B))`` — one row of a
+deterministic *representative* edge between the two nodes' center-nearest
+points (:func:`repro.wspd.separation.node_representatives`) — one row of a
 vectorized weight sweep instead of an ``|A| · |B|`` distance matrix — and
 derives the decomposition itself from ε: the FIND_PAIR recursion splits a
 pair until it is classically well-separated **and** its representative edge
@@ -20,13 +21,8 @@ separated covering decomposition returns a spanning tree of weight at most
 bounded by gaps plus the minimax property of MST paths) carries the per-pair
 factor through to the total.  Since every candidate weight is a genuine
 pairwise distance, the tree is also never lighter than the exact MST:
-``w_exact ≤ w_approx ≤ (1 + ε) · w_exact``.
-
-``representative="bccp"`` is the conservative end of the axis: the plain
-geometric ``s = 2`` decomposition with the exact batched BCCP kernel per
-pair (per-pair factor 1 — the exact construction's candidate set, computed
-through the approximation pipeline's filtered Kruskal).  ``ε = 0`` delegates
-to the exact MemoGFK engine outright.
+``w_exact ≤ w_approx ≤ (1 + ε) · w_exact``.  ``ε = 0`` delegates to the exact
+MemoGFK engine outright.
 
 Connectivity is guaranteed structurally, not probabilistically: alongside
 the WSPD candidates the edge pool always contains the kd-tree *skeleton*
@@ -34,6 +30,10 @@ the WSPD candidates the edge pool always contains the kd-tree *skeleton*
 children — ``n − 1`` true-distance edges whose union is connected by
 induction over the tree), so the Kruskal pass returns a spanning tree even
 under adversarial floating-point behaviour of the separation predicate.
+
+The pipeline itself (:func:`approx_mst`) is shared with the approximate
+HDBSCAN* MST (:mod:`repro.approx.hdbscan`), which runs it under the mutual
+reachability distance by passing core distances.
 """
 
 from __future__ import annotations
@@ -58,17 +58,11 @@ from repro.spatial.flat import FlatKDTree
 from repro.spatial.kdtree import KDTree
 from repro.wspd.bccp import BCCPCache
 from repro.wspd.separation import (
-    bccp_lower_bounds,
     epsilon_certified_mask,
     node_representatives,
+    representative_certificate,
 )
 from repro.wspd.wspd import compute_wspd_ids
-
-#: Representative-edge strategies: ``sample`` records the ε-certified
-#: decomposition and keeps its representative edges; ``bccp`` records the
-#: exact construction's geometric decomposition and runs the batched BCCP
-#: kernel on every pair (per-pair factor 1).
-REPRESENTATIVES = ("sample", "bccp")
 
 
 def resolve_approx_method(
@@ -145,24 +139,6 @@ def skeleton_edges(flat: FlatKDTree) -> Tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def representative_points(
-    flat: FlatKDTree,
-    a_ids: np.ndarray,
-    b_ids: np.ndarray,
-    representatives: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Deterministic representative point of each node of a pair frontier.
-
-    With ``representatives`` (the center-nearest map of
-    :func:`repro.wspd.separation.node_representatives`) the certified
-    choice; without it, the first point of each node's contiguous ``perm``
-    slice — the choice the Appendix C OPTICS approximation makes.
-    """
-    if representatives is not None:
-        return representatives[a_ids], representatives[b_ids]
-    return flat.perm[flat.node_start[a_ids]], flat.perm[flat.node_start[b_ids]]
-
-
 def candidate_mst(
     u: np.ndarray,
     v: np.ndarray,
@@ -186,11 +162,106 @@ def candidate_mst(
     return output
 
 
+def approx_mst(
+    data: np.ndarray,
+    epsilon: float,
+    method: str,
+    *,
+    core_distances: Optional[np.ndarray] = None,
+    leaf_size: int,
+    num_threads: Optional[int],
+    metric: MetricLike,
+) -> EMSTResult:
+    """The (1+ε)-approximate MST pipeline behind both front ends.
+
+    Runs on coerced ``data`` of at least two points with ``ε > 0``: kd-tree
+    (annotated when ``core_distances`` is given), ε-certified WSPD,
+    representative edges, exact BCCP(*) refinement of the uncertified small
+    pairs, kd-tree skeleton edges, and one candidate Kruskal.  Without
+    ``core_distances`` every weight is the plain metric distance (BCCP);
+    with them, the mutual reachability distance (BCCP*).  The result carries
+    ``method`` and the decomposition/candidate counters plus per-phase
+    timings.
+    """
+    n = data.shape[0]
+    timings = {}
+    start = time.perf_counter()
+    tree = KDTree(data, leaf_size=leaf_size, metric=metric)
+    if core_distances is not None:
+        tree.annotate_core_distances(core_distances)
+    flat = tree.flat
+    timings["build-tree"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    reps = node_representatives(flat)
+    pair_a, pair_b = compute_wspd_ids(
+        tree,
+        predicate=lambda a, b: epsilon_certified_mask(
+            flat, a, b, 2.0, epsilon, reps, core_distances
+        ),
+        num_threads=num_threads,
+    )
+    timings["wspd"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    tracker = current_tracker()
+    cand_u, cand_v = reps[pair_a], reps[pair_b]
+    tracker.add(float(cand_u.size), 1.0, phase="bccp")
+    # One plain-distance sweep serves both the candidate weights and the
+    # certificate's lower bound.
+    plain = sharded_edge_weights(
+        flat.metric, data, cand_u, cand_v, num_threads=num_threads
+    )
+    cand_w, certified = representative_certificate(
+        flat, pair_a, pair_b, cand_u, cand_v, plain, epsilon, core_distances
+    )
+    distance_evaluations = int(cand_u.size)
+    # Pairs the certificate rejected were recorded because they are small
+    # (SMALL_PAIR_CAP); refine them with the exact batched BCCP(*) so their
+    # candidate is the true pair minimum (per-pair factor 1).
+    refine = ~certified
+    num_refined = int(np.count_nonzero(refine))
+    if num_refined:
+        cache = BCCPCache(tree, core_distances=core_distances, num_threads=num_threads)
+        with tracker.parallel("approx-bccp"):
+            ref_u, ref_v, ref_w = cache.get_batch(pair_a[refine], pair_b[refine])
+        cand_u[refine] = ref_u
+        cand_v[refine] = ref_v
+        cand_w[refine] = ref_w
+        distance_evaluations += cache.num_distance_evaluations
+    # The kd-tree skeleton guarantees the candidate graph spans even when
+    # floating-point separation decisions go badly; its edges are true
+    # distances, so they can only improve the tree.
+    skel_u, skel_v = skeleton_edges(flat)
+    skel_w = sharded_edge_weights(
+        flat.metric, data, skel_u, skel_v, core_distances, num_threads=num_threads
+    )
+    distance_evaluations += int(skel_u.size)
+    cand_u = np.concatenate([cand_u, skel_u])
+    cand_v = np.concatenate([cand_v, skel_v])
+    cand_w = np.concatenate([cand_w, skel_w])
+    timings["candidates"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    tree_edges = candidate_mst(cand_u, cand_v, cand_w, n, num_threads=num_threads)
+    timings["kruskal"] = time.perf_counter() - start
+
+    stats = {
+        "epsilon": float(epsilon),
+        "wspd_pairs": int(pair_a.size),
+        "pairs_refined": num_refined,
+        "pairs_certified": int(pair_a.size) - num_refined,
+        "candidate_edges": int(cand_u.size),
+        "distance_evaluations": int(distance_evaluations),
+    }
+    stats.update({f"time_{name}": value for name, value in timings.items()})
+    return EMSTResult(tree_edges, n, method, stats=stats)
+
+
 def approx_emst(
     points,
     epsilon: float = 0.1,
     *,
-    representative: str = "sample",
     leaf_size: int = 1,
     num_threads: Optional[int] = None,
     metric: MetricLike = None,
@@ -206,19 +277,14 @@ def approx_emst(
         most ``(1 + epsilon)`` times the exact MST weight (and never below
         it — every candidate edge is a true pairwise distance).  ``0`` runs
         the exact MemoGFK engine; negative values raise.
-    representative:
-        ``"sample"`` (default): representative edges of the ε-certified
-        decomposition.  ``"bccp"``: exact batched BCCPs of the geometric
-        ``s = 2`` decomposition (per-pair factor 1, the conservative end of
-        the axis).
     leaf_size:
         kd-tree leaf size for the WSPD (must effectively be 1, as for every
         WSPD consumer).
     num_threads:
         Worker threads: the WSPD separation/certificate sweeps, the BCCP
-        size-class kernels (``representative="bccp"``), the candidate weight
-        sweep and the Kruskal argsort all shard onto the persistent pool
-        with fixed chunk boundaries, so the tree is byte-identical at any
+        size-class kernels of the refined pairs, the candidate weight sweep
+        and the Kruskal argsort all shard onto the persistent pool with
+        fixed chunk boundaries, so the tree is byte-identical at any
         setting.
     metric:
         Distance metric (name, Metric instance, or ``None`` for Euclidean).
@@ -233,122 +299,17 @@ def approx_emst(
     """
     if epsilon < 0:
         raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
-    if representative not in REPRESENTATIVES:
-        raise InvalidParameterError(
-            f"representative must be one of {sorted(REPRESENTATIVES)}, "
-            f"got {representative!r}"
-        )
     data = as_points(points, min_points=1)
     if epsilon == 0:
         return emst_memogfk(data, num_threads=num_threads, metric=metric)
-    n = data.shape[0]
-    if n == 1:
+    if data.shape[0] == 1:
         return EMSTResult(
             EdgeList(), 1, "wspd-approx", stats={"epsilon": float(epsilon)}
         )
-
-    timings = {}
-    start = time.perf_counter()
-    tree = KDTree(data, leaf_size=leaf_size, metric=metric)
-    flat = tree.flat
-    timings["build-tree"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    if representative == "bccp":
-        reps = None
-        pair_a, pair_b = compute_wspd_ids(
-            tree, separation="geometric", s=2.0, num_threads=num_threads
-        )
-    else:
-        reps = node_representatives(flat)
-        pair_a, pair_b = compute_wspd_ids(
-            tree,
-            predicate=lambda a, b: epsilon_certified_mask(
-                flat, a, b, 2.0, epsilon, reps
-            ),
-            num_threads=num_threads,
-        )
-    timings["wspd"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    tracker = current_tracker()
-    num_refined = 0
-    if representative == "bccp":
-        cache = BCCPCache(tree, num_threads=num_threads)
-        with tracker.parallel("approx-bccp"):
-            cand_u, cand_v, cand_w = cache.get_batch(pair_a, pair_b)
-        distance_evaluations = cache.num_distance_evaluations
-        num_refined = int(pair_a.size)
-    else:
-        cand_u, cand_v = representative_points(flat, pair_a, pair_b, reps)
-        tracker.add(float(cand_u.size), 1.0, phase="bccp")
-        cand_w = sharded_edge_weights(
-            flat.metric, data, cand_u, cand_v, num_threads=num_threads
-        )
-        distance_evaluations = int(cand_u.size)
-        # Pairs the certificate rejected were recorded because they are
-        # small (SMALL_PAIR_CAP); refine them with the exact batched BCCP so
-        # their candidate is the true pair minimum (per-pair factor 1).
-        lower = bccp_lower_bounds(flat, pair_a, pair_b, cand_w)
-        refine = cand_w > (1.0 + epsilon) * lower
-        num_refined = int(np.count_nonzero(refine))
-        if num_refined:
-            cache = BCCPCache(tree, num_threads=num_threads)
-            with tracker.parallel("approx-bccp"):
-                ref_u, ref_v, ref_w = cache.get_batch(pair_a[refine], pair_b[refine])
-            cand_u[refine] = ref_u
-            cand_v[refine] = ref_v
-            cand_w[refine] = ref_w
-            distance_evaluations += cache.num_distance_evaluations
-    # The kd-tree skeleton guarantees the candidate graph spans even when
-    # floating-point separation decisions go badly; its edges are true
-    # distances, so they can only improve the tree.
-    skel_u, skel_v = skeleton_edges(flat)
-    skel_w = sharded_edge_weights(
-        flat.metric, data, skel_u, skel_v, num_threads=num_threads
-    )
-    distance_evaluations += int(skel_u.size)
-    cand_u = np.concatenate([cand_u, skel_u])
-    cand_v = np.concatenate([cand_v, skel_v])
-    cand_w = np.concatenate([cand_w, skel_w])
-    timings["candidates"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    tree_edges = candidate_mst(cand_u, cand_v, cand_w, n, num_threads=num_threads)
-    timings["kruskal"] = time.perf_counter() - start
-
-    stats = {
-        "epsilon": float(epsilon),
-        "representative": representative,
-        "wspd_pairs": int(pair_a.size),
-        "pairs_refined": num_refined,
-        "pairs_certified": int(pair_a.size) - num_refined,
-        "candidate_edges": int(cand_u.size),
-        "distance_evaluations": int(distance_evaluations),
-    }
-    stats.update({f"time_{name}": value for name, value in timings.items()})
-    return EMSTResult(tree_edges, n, "wspd-approx", stats=stats)
-
-
-def emst_wspd_approx(
-    points,
-    *,
-    epsilon: float = 0.0,
-    representative: str = "sample",
-    leaf_size: int = 1,
-    num_threads: Optional[int] = None,
-    metric: MetricLike = None,
-) -> EMSTResult:
-    """``emst(method="wspd-approx")`` adapter: keyword-only ε, same contract
-    as :func:`approx_emst`.
-
-    ε defaults to ``0`` — exact — so selecting the method without an ε means
-    the same thing on every surface (functional API, estimators, CLI).
-    """
-    return approx_emst(
-        points,
+    return approx_mst(
+        data,
         epsilon,
-        representative=representative,
+        "wspd-approx",
         leaf_size=leaf_size,
         num_threads=num_threads,
         metric=metric,

@@ -39,15 +39,16 @@ def _shrunk(result: EMSTResult) -> EMSTResult:
     return result
 
 
-def _emst_wspd_approx(points, **kwargs) -> EMSTResult:
-    """(1+ε)-approximate EMST (``epsilon=``, ``representative=`` kwargs).
+def _lazy_approx_emst(points, epsilon: float = 0.0, **kwargs) -> EMSTResult:
+    """(1+ε)-approximate EMST (``epsilon=`` kwarg, default ``0`` — exact — so
+    selecting the method without an ε means the same thing on every surface).
 
     Imported lazily: :mod:`repro.approx` consumes the whole exact engine, so
     a module-level import here would cycle through the package inits.
     """
-    from repro.approx.emst import emst_wspd_approx
+    from repro.approx.emst import approx_emst
 
-    return emst_wspd_approx(points, **kwargs)
+    return approx_emst(points, epsilon, **kwargs)
 
 
 EMST_METHODS: Dict[str, Callable[..., EMSTResult]] = {
@@ -57,7 +58,7 @@ EMST_METHODS: Dict[str, Callable[..., EMSTResult]] = {
     "delaunay": emst_delaunay,
     "dualtree-boruvka": emst_dualtree_boruvka,
     "bruteforce": emst_bruteforce,
-    "wspd-approx": _emst_wspd_approx,
+    "wspd-approx": _lazy_approx_emst,
 }
 
 
@@ -86,7 +87,7 @@ def emst(
         ``"naive"``, ``"delaunay"`` (2D Euclidean only),
         ``"dualtree-boruvka"``, ``"bruteforce"``, or ``"wspd-approx"`` (the
         (1+ε)-approximate tree of :func:`repro.approx.emst.approx_emst`;
-        takes ``epsilon=`` and ``representative=``).
+        takes ``epsilon=``).
     metric:
         Distance metric: a name (``"euclidean"``, ``"manhattan"``,
         ``"chebyshev"``, ``"minkowski:p"``), a

@@ -323,8 +323,8 @@ def memogfk_mst(
     Parameters
     ----------
     tree:
-        kd-tree over the input points (annotated with core distances when
-        ``separation='hdbscan'``).
+        kd-tree over the input points.  With ``core_distances`` the tree is
+        (re-)annotated with them, replacing any earlier annotation.
     separation:
         ``'geometric'`` (EMST) or ``'hdbscan'`` (new disjunctive separation).
     s:
@@ -372,8 +372,7 @@ def memogfk_mst(
     if core_distances is None:
         lower_bound, upper_bound = _geometric_bounds(flat)
     else:
-        if not tree.has_core_distances:
-            tree.annotate_core_distances(np.asarray(core_distances, dtype=np.float64))
+        tree.annotate_core_distances(np.asarray(core_distances, dtype=np.float64))
         lower_bound, upper_bound = _mutual_reachability_bounds(flat)
     predicate = separation_mask(flat, separation, s)
 

@@ -32,7 +32,7 @@ norm-induced metrics in :mod:`repro.core.metric`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -192,30 +192,6 @@ def node_representatives(flat: FlatKDTree) -> np.ndarray:
     return representatives
 
 
-def representative_distances(
-    flat: FlatKDTree,
-    a: np.ndarray,
-    b: np.ndarray,
-    representatives: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Distance between the representatives of every pair of a node-id
-    frontier.
-
-    ``representatives`` maps node id to a point index
-    (:func:`node_representatives`); without it the deterministic first point
-    of each node's ``perm`` slice is used.  Weights come from the metric's
-    exact (cancellation-safe) kernel because they can end up as MST edge
-    weights.
-    """
-    if representatives is None:
-        rep_a = flat.perm[flat.node_start[a]]
-        rep_b = flat.perm[flat.node_start[b]]
-    else:
-        rep_a = representatives[a]
-        rep_b = representatives[b]
-    return flat.metric.exact_edge_weights(flat.points, rep_a, rep_b)
-
-
 def box_gaps(flat: FlatKDTree, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum box-to-box distance of node-id arrays under the tree's metric.
 
@@ -248,32 +224,71 @@ def bccp_lower_bounds(
     return np.maximum(box_gaps(flat, a, b), rep_distances - diameters)
 
 
+def representative_certificate(
+    flat: FlatKDTree,
+    a: np.ndarray,
+    b: np.ndarray,
+    rep_a: np.ndarray,
+    rep_b: np.ndarray,
+    rep_distances: np.ndarray,
+    epsilon: float,
+    core_distances: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Weight of every pair's representative edge ``(rep_a, rep_b)`` and
+    whether it is certified within ``(1 + ε)`` of the pair's BCCP.
+
+    ``rep_distances`` are the representative edges' exact distances.  With
+    ``core_distances`` both sides move to mutual reachability: the weight
+    becomes ``max(d(rep), cd(rep_a), cd(rep_b))`` and the lower bound of
+    :func:`bccp_lower_bounds` is joined with the per-node minimum core
+    distances ``cd_min`` (so the tree must carry the annotation) — the same
+    BCCP* bound the exact MemoGFK window pruning uses.
+    """
+    weights = rep_distances
+    lower = bccp_lower_bounds(flat, a, b, rep_distances)
+    if core_distances is not None:
+        weights = np.maximum(
+            rep_distances, np.maximum(core_distances[rep_a], core_distances[rep_b])
+        )
+        lower = np.maximum(lower, np.maximum(flat.cd_min[a], flat.cd_min[b]))
+    return weights, weights <= (1.0 + epsilon) * lower
+
+
 def epsilon_certified_mask(
     flat: FlatKDTree,
     a: np.ndarray,
     b: np.ndarray,
     s: float,
     epsilon: float,
-    representatives: Optional[np.ndarray] = None,
+    representatives: np.ndarray,
+    core_distances: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """ε-certified separation: classically separated AND (the representative
     edge is provably within ``(1 + ε)`` of the pair's BCCP, OR the pair is
     small enough to refine exactly).
 
     This is the approximation subsystem's third notion of well-separation
-    (next to ``geometric`` and the paper's disjunctive ``hdbscan`` notion):
-    the FIND_PAIR recursion keeps splitting a pair until its deterministic
-    representative edge is certified against the geometric lower bound of
-    :func:`bccp_lower_bounds` — so small ε splits deeper and produces more
-    pairs — except that pairs of at most :data:`SMALL_PAIR_CAP` candidate
-    distances are recorded regardless (the consumer refines them with one
-    exact batched BCCP, per-pair factor 1, which caps the recursion at the
-    classical decomposition's granularity).  Every recorded pair therefore
-    contributes a candidate edge within ``(1 + ε)`` of its bichromatic
-    closest pair while remaining classically well-separated, which is
-    exactly what the (1+ε)-approximate EMST argument needs.
+    (next to ``geometric`` and the paper's disjunctive ``hdbscan`` notion),
+    passed to :func:`repro.wspd.wspd.compute_wspd_ids` as its ``predicate``.
+    ``representatives`` maps node id to a point index
+    (:func:`node_representatives`).  The FIND_PAIR recursion keeps splitting
+    a pair until its representative edge is certified by
+    :func:`representative_certificate` — so small ε splits deeper and
+    produces more pairs — except that pairs of at most
+    :data:`SMALL_PAIR_CAP` candidate distances are recorded regardless (the
+    consumer refines them with one exact batched BCCP, per-pair factor 1,
+    which caps the recursion at the classical decomposition's granularity).
+    Every recorded pair therefore contributes a candidate edge within
+    ``(1 + ε)`` of its bichromatic closest pair while remaining classically
+    well-separated, which is exactly what the (1+ε)-approximate MST argument
+    needs.  With ``core_distances`` the certificate is taken under the mutual
+    reachability distance (BCCP*), for the approximate HDBSCAN* MST.
     """
-    rep = representative_distances(flat, a, b, representatives)
-    certified = rep <= (1.0 + epsilon) * bccp_lower_bounds(flat, a, b, rep)
+    rep_a = representatives[a]
+    rep_b = representatives[b]
+    rep = flat.metric.exact_edge_weights(flat.points, rep_a, rep_b)
+    _, certified = representative_certificate(
+        flat, a, b, rep_a, rep_b, rep, epsilon, core_distances
+    )
     small = flat.node_sizes[a] * flat.node_sizes[b] <= SMALL_PAIR_CAP
     return well_separated_mask(flat, a, b, s) & (certified | small)

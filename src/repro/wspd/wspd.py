@@ -34,11 +34,7 @@ from repro.parallel.pool import map_shards, resolve_num_threads
 from repro.parallel.scheduler import current_tracker
 from repro.spatial.flat import FlatKDTree
 from repro.spatial.kdtree import KDNode, KDTree
-from repro.wspd.separation import (
-    epsilon_certified_mask,
-    hdbscan_well_separated_mask,
-    well_separated_mask,
-)
+from repro.wspd.separation import hdbscan_well_separated_mask, well_separated_mask
 
 
 @dataclass(frozen=True)
@@ -57,17 +53,9 @@ class WellSeparatedPair:
 PairMask = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def separation_mask(
-    flat: FlatKDTree, separation: str, s: float, epsilon: Optional[float] = None
-) -> PairMask:
-    """Vectorized separation predicate over node-id arrays of ``flat``.
-
-    ``"geometric"`` and ``"hdbscan"`` are the paper's two notions;
-    ``"epsilon-certified"`` (requires ``epsilon``) is the approximation
-    subsystem's notion — classically separated *and* the representative edge
-    certified within ``(1 + ε)`` of the pair's BCCP — used by
-    :func:`repro.approx.emst.approx_emst`.
-    """
+def separation_mask(flat: FlatKDTree, separation: str, s: float) -> PairMask:
+    """Vectorized separation predicate over node-id arrays of ``flat``:
+    ``"geometric"`` or ``"hdbscan"``, the paper's two notions."""
     if separation == "geometric":
         return lambda a, b: well_separated_mask(flat, a, b, s)
     if separation == "hdbscan":
@@ -76,15 +64,8 @@ def separation_mask(
                 "hdbscan separation requires annotate_core_distances() on the tree"
             )
         return lambda a, b: hdbscan_well_separated_mask(flat, a, b)
-    if separation == "epsilon-certified":
-        if epsilon is None:
-            raise InvalidParameterError(
-                "epsilon-certified separation requires an epsilon value"
-            )
-        return lambda a, b: epsilon_certified_mask(flat, a, b, s, epsilon)
     raise InvalidParameterError(
-        "separation must be 'geometric', 'hdbscan' or 'epsilon-certified', "
-        f"got {separation!r}"
+        f"separation must be 'geometric' or 'hdbscan', got {separation!r}"
     )
 
 
@@ -205,7 +186,6 @@ def iterate_wspd_ids(
     *,
     separation: str = "geometric",
     s: float = 2.0,
-    epsilon: Optional[float] = None,
     predicate: Optional[PairMask] = None,
     num_threads: Optional[int] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -216,15 +196,13 @@ def iterate_wspd_ids(
     This is the array-native core that :func:`iterate_wspd`,
     :func:`compute_wspd_ids` and the GFK driver all share.  ``num_threads``
     shards each round's separation test over the worker pool; the yielded
-    batches are byte-identical at any setting.  ``epsilon`` parameterizes the
-    ``"epsilon-certified"`` separation; ``predicate`` overrides the named
-    separation with a custom pair mask (the approximate HDBSCAN* pipeline
-    supplies its mutual-reachability certificate this way) — coverage is
-    guaranteed for any predicate because unsplittable pairs are always
-    recorded.
+    batches are byte-identical at any setting.  ``predicate`` overrides the
+    named separation with a custom pair mask (the approximation pipelines
+    supply their ε-certificate this way) — coverage is guaranteed for any
+    predicate because unsplittable pairs are always recorded.
     """
     if predicate is None:
-        predicate = separation_mask(flat, separation, s, epsilon)
+        predicate = separation_mask(flat, separation, s)
     tracker = current_tracker()
     n = max(flat.size, 2)
     log_n = max(math.log2(n), 1.0)
@@ -278,7 +256,6 @@ def compute_wspd_ids(
     *,
     separation: str = "geometric",
     s: float = 2.0,
-    epsilon: Optional[float] = None,
     predicate: Optional[PairMask] = None,
     num_threads: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -289,7 +266,6 @@ def compute_wspd_ids(
             tree.flat,
             separation=separation,
             s=s,
-            epsilon=epsilon,
             predicate=predicate,
             num_threads=num_threads,
         )

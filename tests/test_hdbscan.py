@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.errors import InvalidParameterError, NotComputedError
 from repro.emst import emst_bruteforce
+from repro.emst.memogfk import memogfk_mst
+from repro.emst.result import EMSTResult
 from repro.hdbscan import (
     HDBSCAN_METHODS,
     core_distances,
@@ -16,6 +18,7 @@ from repro.hdbscan import (
     mutual_reachability_matrix,
     optics_approx_mst,
 )
+from repro.spatial.kdtree import KDTree
 
 EXACT_METHODS = [hdbscan_mst_gantao, hdbscan_mst_memogfk]
 # The result ``method`` string of each exact driver, and the stats keys every
@@ -155,6 +158,19 @@ class TestMSTVariants:
         assert result.num_edges == 0
         if algorithm in DRIVER_METHOD:
             assert result.method == DRIVER_METHOD[algorithm]
+
+    def test_memogfk_mst_reannotates_tree_with_other_core_distances(self):
+        # A tree already annotated with one minPts' core distances must have
+        # its cd_min/cd_max bounds rebuilt from the core distances passed in.
+        points = np.random.default_rng(0).random((300, 2))
+        tree = KDTree(points, leaf_size=1)
+        tree.annotate_core_distances(core_distances(points, 2))
+        core = core_distances(points, 10)
+        edges, _ = memogfk_mst(tree, separation="hdbscan", core_distances=core)
+        result = EMSTResult(edges, points.shape[0], "memogfk")
+        expected = hdbscan_mst_bruteforce(points, 10, core_dists=core)
+        assert result.is_spanning_tree()
+        assert result.total_weight == pytest.approx(expected.total_weight, rel=1e-9)
 
     def test_edge_weights_at_least_core_distances(self, small_points_3d):
         min_pts = 8
